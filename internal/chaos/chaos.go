@@ -6,7 +6,8 @@
 // protocol bugs). Injection is deterministic: every wrapped system draws
 // from its own seeded RNG, and a Schedule can script exact failures
 // ("replica 2 panics on batch 5") so chaos tests are reproducible and
-// never flaky.
+// never flaky: probabilistic faults that would take a replica down hold
+// off until its scripted ones have fired.
 //
 // The serving layer under test must survive all of it; see
 // internal/serve's supervisor and TestChaos* for the contract.
@@ -137,7 +138,10 @@ func (r Rates) zero() bool {
 // Rule scripts one exact fault: replica Replica (as passed to Wrap)
 // injects Kind on its Batch'th Run call (1-based). Scheduled rules fire
 // regardless of Rates and of the injector's enabled switch being flipped
-// later — they are the deterministic backbone of a chaos test.
+// later — they are the deterministic backbone of a chaos test. A wrapper
+// injects no probabilistic panic, wedge or corrupt before its last rule
+// has fired, so no seeded draw can take the replica down first and leave
+// a rule unreachable.
 type Rule struct {
 	Replica int
 	Batch   int64
@@ -232,6 +236,7 @@ type FaultySystem struct {
 	rng     *rand.Rand
 	runs    int64
 	rules   map[int64]Kind // batch number -> scripted fault
+	last    int64          // batch number of the last scripted fault
 }
 
 // Wrap builds a FaultySystem for replica id. Schedule rules whose
@@ -243,9 +248,11 @@ func Wrap(inner arch.System, cfg Config, id int, inj *Injector) *FaultySystem {
 		inj = NewInjector()
 	}
 	rules := make(map[int64]Kind)
+	var last int64
 	for _, r := range cfg.Schedule {
 		if r.Replica == id {
 			rules[r.Batch] = r.Kind
+			last = max(last, r.Batch)
 		}
 	}
 	return &FaultySystem{
@@ -255,6 +262,7 @@ func Wrap(inner arch.System, cfg Config, id int, inj *Injector) *FaultySystem {
 		inj:     inj,
 		rng:     rand.New(rand.NewSource(cfg.Seed + int64(id))),
 		rules:   rules,
+		last:    last,
 	}
 }
 
@@ -282,9 +290,10 @@ func (s *FaultySystem) Runs() int64 { return s.runs }
 // pick decides whether this Run call injects a fault, and which.
 // Scheduled rules take precedence and fire even when the injector is
 // disabled; probabilistic faults draw from the per-replica RNG only
-// while enabled. The RNG is advanced exactly once per call regardless of
-// the enabled switch, so a run's fault sequence depends only on the
-// batch sequence, not on when the switch flips.
+// while enabled, and only latency may fire while a rule is still ahead.
+// The RNG is advanced exactly once per call regardless of the enabled
+// switch and of pending rules, so a run's fault sequence depends only on
+// the batch sequence, not on when the switch flips.
 func (s *FaultySystem) pick() (Kind, bool) {
 	var u float64
 	if !s.cfg.Rates.zero() {
@@ -297,6 +306,13 @@ func (s *FaultySystem) pick() (Kind, bool) {
 		return 0, false
 	}
 	r := s.cfg.Rates
+	if s.runs < s.last {
+		// A draw in the panic, wedge or corrupt band injects nothing.
+		if lo := r.Panic + r.Wedge + r.Corrupt; u >= lo && u < lo+r.Latency {
+			return Latency, true
+		}
+		return 0, false
+	}
 	switch {
 	case u < r.Panic:
 		return Panic, true

@@ -115,6 +115,57 @@ func TestScheduleFiresWhileDisabled(t *testing.T) {
 	}
 }
 
+// TestScheduleReachableUnderRates: a replica whose seeded draws would
+// panic on every batch still reaches its scripted fault, because only
+// latency may be drawn while a rule is pending. The RNG advances once per
+// call throughout, so the draws after the rule are the unconstrained
+// stream's.
+func TestScheduleReachableUnderRates(t *testing.T) {
+	inj := NewInjector()
+	fs := Wrap(&countSys{}, Config{
+		Rates:    Rates{Panic: 1.0},
+		Schedule: []Rule{{Replica: 0, Batch: 3, Kind: Corrupt}},
+	}, 0, inj)
+	for i, want := range []string{"ok", "ok", "corrupt", "panic"} {
+		if got := outcomeOf(t, fs); got != want {
+			t.Fatalf("batch %d: outcome %q, want %q", i+1, got, want)
+		}
+	}
+
+	cfg := Config{
+		Rates:    Rates{Panic: 0.3, Wedge: 0.1, Corrupt: 0.3, Latency: 0.3},
+		Stall:    time.Microsecond,
+		Schedule: []Rule{{Replica: 1, Batch: 40, Kind: Corrupt}},
+		Seed:     5,
+	}
+	inj = NewInjector()
+	inj.ReleaseWedges() // a drawn wedge returns at once, as "err"
+	fs = Wrap(&countSys{}, cfg, 1, inj)
+	for i := 1; i < 40; i++ {
+		if got := outcomeOf(t, fs); got != "ok" {
+			t.Fatalf("batch %d before the rule: outcome %q, want ok", i, got)
+		}
+	}
+	if inj.Count(Latency) == 0 {
+		t.Error("no latency drawn in 39 batches at rate 0.3 while the rule was pending")
+	}
+	if got := outcomeOf(t, fs); got != "corrupt" {
+		t.Fatalf("scripted batch: outcome %q, want corrupt", got)
+	}
+	// Past the rule the stream is the one an unscripted wrapper draws.
+	freeInj := NewInjector()
+	freeInj.ReleaseWedges()
+	free := Wrap(&countSys{}, Config{Rates: cfg.Rates, Stall: cfg.Stall, Seed: cfg.Seed}, 1, freeInj)
+	for i := 1; i <= 40; i++ {
+		outcomeOf(t, free)
+	}
+	for i := 41; i <= 60; i++ {
+		if got, want := outcomeOf(t, fs), outcomeOf(t, free); got != want {
+			t.Fatalf("batch %d: outcome %q, unscripted stream %q", i, got, want)
+		}
+	}
+}
+
 // TestCorrupt: corrupted stats carry a negative cycle count, the marker
 // the pool validates for.
 func TestCorrupt(t *testing.T) {

@@ -1,0 +1,269 @@
+package lp
+
+import "math"
+
+// This file keeps the original dense simplex as a test oracle: reduced
+// costs computed column by column from scratch on every iteration, and
+// pivots that update every column of every row. Solve must match it bit
+// for bit (see differential_test.go). It shares eps and the Problem type
+// with the production solver and nothing else.
+
+// referenceSolve is the solver as it stood before row-order pricing and
+// sparse pivots: column-order reduced costs and full-row pivot updates. It
+// also reports whether any phase ran long enough to switch to Bland's rule,
+// so the differential tests can show they cover that path.
+func referenceSolve(p *Problem) (_ Solution, bland bool) {
+	var t *refTableau
+	defer func() { bland = t != nil && t.bland }()
+
+	m := len(p.rows)
+	if m == 0 {
+		// Unconstrained: x = 0 is optimal for c >= 0, otherwise unbounded.
+		for _, ci := range p.c {
+			if ci < -eps {
+				return Solution{Status: Unbounded}, false
+			}
+		}
+		return Solution{Status: Optimal, X: make([]float64, p.n)}, false
+	}
+
+	// Build the standard-form tableau: variables, then one slack/surplus
+	// per inequality, then artificials where needed.
+	nSlack := 0
+	for _, r := range p.rel {
+		if r != EQ {
+			nSlack++
+		}
+	}
+	// Count artificials: GE and EQ rows always need one; LE rows with a
+	// negative rhs flip into GE and need one too. Normalize first.
+	rows := make([][]float64, m)
+	rel := make([]Relation, m)
+	rhs := make([]float64, m)
+	for i := range p.rows {
+		rows[i] = append([]float64(nil), p.rows[i]...)
+		rel[i] = p.rel[i]
+		rhs[i] = p.rhs[i]
+		if rhs[i] < 0 {
+			for j := range rows[i] {
+				rows[i][j] = -rows[i][j]
+			}
+			rhs[i] = -rhs[i]
+			switch rel[i] {
+			case LE:
+				rel[i] = GE
+			case GE:
+				rel[i] = LE
+			}
+		}
+	}
+	nArt := 0
+	for _, r := range rel {
+		if r != LE {
+			nArt++
+		}
+	}
+
+	total := p.n + nSlack + nArt
+	t = newRefTableau(m, total)
+	basis := make([]int, m)
+	slackCol := p.n
+	artCol := p.n + nSlack
+	for i := 0; i < m; i++ {
+		copy(t.a[i], rows[i])
+		t.b[i] = rhs[i]
+		switch rel[i] {
+		case LE:
+			t.a[i][slackCol] = 1
+			basis[i] = slackCol
+			slackCol++
+		case GE:
+			t.a[i][slackCol] = -1
+			slackCol++
+			t.a[i][artCol] = 1
+			basis[i] = artCol
+			artCol++
+		case EQ:
+			t.a[i][artCol] = 1
+			basis[i] = artCol
+			artCol++
+		}
+	}
+
+	// Phase 1: minimize the sum of artificials.
+	if nArt > 0 {
+		phase1 := make([]float64, total)
+		for j := p.n + nSlack; j < total; j++ {
+			phase1[j] = 1
+		}
+		status := t.optimize(phase1, basis)
+		if status != Optimal {
+			return Solution{Status: status}, false
+		}
+		if t.objective(phase1, basis) > 1e-6 {
+			return Solution{Status: Infeasible}, false
+		}
+		// Drive any artificial still in the basis out (degenerate rows).
+		for i := 0; i < m; i++ {
+			if basis[i] >= p.n+nSlack {
+				pivoted := false
+				for j := 0; j < p.n+nSlack; j++ {
+					if math.Abs(t.a[i][j]) > eps {
+						t.pivot(i, j, basis)
+						pivoted = true
+						break
+					}
+				}
+				if !pivoted {
+					// Redundant row: the artificial stays at zero;
+					// harmless as long as it never re-enters, which
+					// the phase-2 objective guarantees below.
+					continue
+				}
+			}
+		}
+	}
+
+	// Phase 2: original objective, artificials forbidden from entering.
+	phase2 := make([]float64, total)
+	copy(phase2, p.c)
+	for j := p.n + nSlack; j < total; j++ {
+		phase2[j] = math.Inf(1) // sentinel: optimize() skips these columns
+	}
+	status := t.optimize(phase2, basis)
+	if status != Optimal {
+		return Solution{Status: status}, false
+	}
+
+	x := make([]float64, p.n)
+	for i, bj := range basis {
+		if bj < p.n {
+			x[bj] = t.b[i]
+		}
+	}
+	obj := 0.0
+	for j := 0; j < p.n; j++ {
+		obj += p.c[j] * x[j]
+	}
+	return Solution{Status: Optimal, X: x, Objective: obj}, false
+}
+
+// refTableau is the dense simplex working state.
+type refTableau struct {
+	m, n  int
+	a     [][]float64
+	b     []float64
+	bland bool // an optimize call reached blandAfter
+}
+
+func newRefTableau(m, n int) *refTableau {
+	t := &refTableau{m: m, n: n, a: make([][]float64, m), b: make([]float64, m)}
+	for i := range t.a {
+		t.a[i] = make([]float64, n)
+	}
+	return t
+}
+
+// objective evaluates c over the current basic solution.
+func (t *refTableau) objective(c []float64, basis []int) float64 {
+	v := 0.0
+	for i, bj := range basis {
+		if !math.IsInf(c[bj], 1) {
+			v += c[bj] * t.b[i]
+		}
+	}
+	return v
+}
+
+// optimize runs primal simplex iterations for objective c (minimize) from
+// the current basis. Columns with +Inf cost never enter.
+func (t *refTableau) optimize(c []float64, basis []int) Status {
+	maxIter := 50 * (t.m + t.n)
+	blandAfter := 10 * (t.m + t.n)
+
+	// reduced[j] = c_j - c_B . B^-1 A_j, computed incrementally would be
+	// faster; recomputed per iteration for clarity and robustness.
+	y := make([]float64, t.m) // c_B in row order
+	for iter := 0; iter < maxIter; iter++ {
+		for i, bj := range basis {
+			if math.IsInf(c[bj], 1) {
+				y[i] = 0 // artificial stuck at zero in a redundant row
+			} else {
+				y[i] = c[bj]
+			}
+		}
+		// Entering column.
+		enter := -1
+		best := -eps
+		for j := 0; j < t.n; j++ {
+			if math.IsInf(c[j], 1) {
+				continue
+			}
+			red := c[j]
+			for i := 0; i < t.m; i++ {
+				if y[i] != 0 {
+					red -= y[i] * t.a[i][j]
+				}
+			}
+			if iter >= blandAfter {
+				t.bland = true
+				// Bland: first improving column.
+				if red < -eps {
+					enter = j
+					break
+				}
+			} else if red < best {
+				best = red
+				enter = j
+			}
+		}
+		if enter < 0 {
+			return Optimal
+		}
+		// Leaving row: min ratio test (Bland ties by smallest basis index).
+		leave := -1
+		bestRatio := math.Inf(1)
+		for i := 0; i < t.m; i++ {
+			if t.a[i][enter] > eps {
+				ratio := t.b[i] / t.a[i][enter]
+				if ratio < bestRatio-eps ||
+					(ratio < bestRatio+eps && leave >= 0 && basis[i] < basis[leave]) {
+					bestRatio = ratio
+					leave = i
+				}
+			}
+		}
+		if leave < 0 {
+			return Unbounded
+		}
+		t.pivot(leave, enter, basis)
+	}
+	return IterationLimit
+}
+
+// pivot makes column enter basic in row leave.
+func (t *refTableau) pivot(leave, enter int, basis []int) {
+	piv := t.a[leave][enter]
+	inv := 1 / piv
+	for j := 0; j < t.n; j++ {
+		t.a[leave][j] *= inv
+	}
+	t.b[leave] *= inv
+	for i := 0; i < t.m; i++ {
+		if i == leave {
+			continue
+		}
+		f := t.a[i][enter]
+		if f == 0 {
+			continue
+		}
+		for j := 0; j < t.n; j++ {
+			t.a[i][j] -= f * t.a[leave][j]
+		}
+		t.b[i] -= f * t.b[leave]
+		if t.b[i] < 0 && t.b[i] > -1e-12 {
+			t.b[i] = 0
+		}
+	}
+	basis[leave] = enter
+}

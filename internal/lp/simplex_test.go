@@ -285,44 +285,10 @@ func TestMinimaxStructure(t *testing.T) {
 }
 
 func BenchmarkSolvePartitionSized(b *testing.B) {
-	// A problem shaped like the real partitioning LP: 26 tables x 8
-	// segments x 3 regions + t.
-	const tables, segs, regs = 26, 8, 3
-	n := tables*segs*regs + 1
 	rng := rand.New(rand.NewSource(1))
-	build := func() *Problem {
-		p, _ := NewProblem(n)
-		obj := make([]float64, n)
-		obj[n-1] = 1
-		p.SetObjective(obj)
-		xvar := func(t, s, r int) int { return (t*segs+s)*regs + r }
-		for ti := 0; ti < tables; ti++ {
-			for s := 0; s < segs; s++ {
-				row := make([]float64, n)
-				for r := 0; r < regs; r++ {
-					row[xvar(ti, s, r)] = 1
-				}
-				p.AddConstraint(row, EQ, 1)
-			}
-		}
-		for r := 0; r < regs; r++ {
-			load := make([]float64, n)
-			capRow := make([]float64, n)
-			for ti := 0; ti < tables; ti++ {
-				for s := 0; s < segs; s++ {
-					load[xvar(ti, s, r)] = rng.Float64() * 10
-					capRow[xvar(ti, s, r)] = rng.Float64()
-				}
-			}
-			load[n-1] = -1
-			p.AddConstraint(load, LE, 0)
-			p.AddConstraint(capRow, LE, float64(tables*segs)*0.6)
-		}
-		return p
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s := Solve(build()); s.Status != Optimal {
+		if s := Solve(partitionSizedProblem(rng)); s.Status != Optimal {
 			b.Fatalf("status = %v", s.Status)
 		}
 	}
